@@ -45,7 +45,6 @@ func BenchmarkE12Dumbbell(b *testing.B)              { benchExperiment(b, "E12")
 func BenchmarkE13KnownTmix(b *testing.B)             { benchExperiment(b, "E13") }
 func BenchmarkE14Ablations(b *testing.B)             { benchExperiment(b, "E14") }
 func BenchmarkE15FaultResilience(b *testing.B)       { benchExperiment(b, "E15") }
-func BenchmarkE16Throughput(b *testing.B)            { benchExperiment(b, "E16") }
 
 // Micro-benchmarks of the building blocks, with model-level custom metrics.
 
@@ -105,18 +104,6 @@ func BenchmarkElectTracerDisabled(b *testing.B) {
 
 func BenchmarkElectTracerFlightRing(b *testing.B) {
 	benchElectTraced(b, obs.New(obs.NewRing(0), 0))
-}
-
-func BenchmarkElectConcurrentEngine(b *testing.B) {
-	g, err := wcle.NewRandomRegular(128, 8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := wcle.Elect(g, wcle.DefaultConfig(), wcle.Options{Seed: int64(i), Concurrent: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkFloodMax256(b *testing.B) {

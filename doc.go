@@ -46,8 +46,11 @@
 // including the Byzantine plane, whose forged bytes replay identically on
 // both (ProtocolConfig.Defend wraps any protocol in the committee-sampled
 // validation defense).
-// The election-shaped entry points (Elect, ElectWith, ElectMany,
-// ElectManyWith) remain as deprecated thin wrappers:
+//
+// Every entry point takes the same per-run options (Options,
+// AlgorithmOptions and ProtocolOptions are one type) and reaches the sim
+// through the engine's one run path. The election-shaped entry points
+// (Elect, ElectWith, ElectManyWith) remain as deprecated thin wrappers:
 //
 //	out, err := wcle.ElectWith("kpprt", g, wcle.AlgorithmConfig{},
 //	    wcle.AlgorithmOptions{Seed: 7})
@@ -62,7 +65,7 @@
 // internal/spectral (mixing times and conductance), internal/protocol
 // (CONGEST message plumbing), internal/broadcast, internal/baseline,
 // internal/lowerbound, internal/serve (the electd service layer), and
-// internal/experiments (the E1-E23 suite described in DESIGN.md, run on a
-// parallel worker-pool harness and rendered into EXPERIMENTS.md by
-// cmd/benchsuite). README.md has the CLI quickstart.
+// internal/experiments (the E1-E23 suite described in DESIGN.md, with E16
+// retired, run on a parallel worker-pool harness and rendered into
+// EXPERIMENTS.md by cmd/benchsuite). README.md has the CLI quickstart.
 package wcle

@@ -1,37 +1,21 @@
 package algo
 
 import (
-	"errors"
+	"fmt"
 	"time"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/sim"
 )
 
 // BatchOptions parameterizes RunMany: many independent elections of one
-// backend on one graph, sharded across a worker pool. It mirrors
-// core.BatchOptions — including the seed-derivation contract (trial i runs
-// at sim.DeriveSeed(Base.Seed, i)) — so switching a batch between
-// backends never changes which seeds its trials see.
-type BatchOptions struct {
-	// Base is the per-run option template; Base.Seed is the master seed.
-	// Base.Concurrent is ignored: batch elections always use the
-	// sequential engine (one goroutine per shard; see sim.MultiRunner).
-	Base Options
-	// Trials is the number of elections.
-	Trials int
-	// Workers is the shard count (0 = runtime.NumCPU()).
-	Workers int
-	// NewFault, when non-nil, builds trial i's fault plane. Faulty batches
-	// must use it: fault planes are stateful per run, so a single
-	// Base.Fault instance would be shared across concurrent trials and
-	// RunMany rejects it.
-	NewFault func(trial int) sim.FaultPlane
-	// CollectTrials retains the per-trial vectors in the result.
-	CollectTrials bool
-}
+// backend on one graph, sharded across a worker pool, with trial i at
+// sim.DeriveSeed(Base.Seed, i) (see engine.BatchOptions).
+type BatchOptions = engine.BatchOptions
 
-// BatchResult aggregates a RunMany batch, mirroring core.BatchResult.
+// BatchResult aggregates a RunMany batch: the engine batch's totals and
+// per-trial vectors plus the election tallies of a Tally.
 type BatchResult struct {
 	// Algorithm is the backend that ran the batch.
 	Algorithm string
@@ -65,84 +49,92 @@ type BatchResult struct {
 }
 
 // RunMany executes opts.Trials independent elections of backend a on g
-// across a sharded worker pool. Everything except the wall-clock fields of
-// the result is deterministic in (g, a, opts.Base.Seed, opts.Trials). For
-// the gilbertrs18 backend this is field-for-field the same computation as
-// core.RunMany.
+// through engine.RunMany and tallies each trial's Outcome. Everything
+// except the wall-clock fields of the result is deterministic in (g, a,
+// opts.Base.Seed, opts.Trials). Only backends built by this package's
+// registry (engine protocols) can run a batch.
 func RunMany(g *graph.Graph, a Algorithm, opts BatchOptions) (*BatchResult, error) {
-	if opts.Trials <= 0 {
-		return &BatchResult{Algorithm: a.Name()}, nil
+	p := Protocol(a)
+	if p == nil {
+		return nil, fmt.Errorf("algo: backend %q is not an engine protocol", a.Name())
 	}
-	if opts.Base.Fault != nil && opts.NewFault == nil {
-		// Fault planes are stateful per run; one instance shared across
-		// shard goroutines would race and break batch determinism.
-		return nil, errors.New("algo: BatchOptions.Base.Fault would be shared across concurrent trials; supply NewFault instead")
-	}
-	outcomes := make([]int8, opts.Trials)
-	rounds := make([]int32, opts.Trials)
-	contenders := make([]int32, opts.Trials)
-	mr := &sim.MultiRunner{Workers: opts.Workers}
-	start := time.Now()
-	metrics, shards, err := mr.RunBatch(opts.Trials, func(i int) (sim.Metrics, error) {
-		o := opts.Base
-		o.Seed = sim.DeriveSeed(opts.Base.Seed, uint64(i))
-		o.Concurrent = false
-		if opts.NewFault != nil {
-			o.Fault = opts.NewFault(i)
-		}
-		res, err := a.Run(g, o)
+	tally := NewTally(opts.Trials)
+	eb, err := engine.RunMany(p, g, opts, func(i int, o engine.Options, inst engine.Instance, res *engine.Result) error {
+		out, err := p.Finish(inst, res, o)
 		if err != nil {
-			return sim.Metrics{}, err
+			return err
 		}
-		switch len(res.Leaders) {
-		case 0:
-			outcomes[i] = 0
-		case 1:
-			outcomes[i] = 1
-		default:
-			outcomes[i] = 2
-		}
-		rounds[i] = int32(res.Rounds)
-		contenders[i] = int32(res.Contenders)
-		return res.Metrics, nil
+		tally.Record(i, out)
+		return nil
 	})
-	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	out := &BatchResult{
-		Algorithm: a.Name(),
-		Trials:    opts.Trials,
-		Elapsed:   elapsed,
-		Shards:    shards,
+	b := &BatchResult{
+		Algorithm:       a.Name(),
+		Trials:          eb.Trials,
+		Messages:        eb.Messages,
+		Bits:            eb.Bits,
+		FaultDrops:      eb.FaultDrops,
+		Delayed:         eb.Delayed,
+		Rounds:          eb.Rounds,
+		Elapsed:         eb.Elapsed,
+		ElectionsPerSec: eb.RunsPerSec,
+		Shards:          eb.Shards,
+		TrialRounds:     eb.TrialRounds,
+		TrialMessages:   eb.TrialMessages,
 	}
-	if s := elapsed.Seconds(); s > 0 {
-		out.ElectionsPerSec = float64(opts.Trials) / s
+	tally.Fill(b, opts.CollectTrials)
+	return b, nil
+}
+
+// Tally folds per-trial election outcomes into leader-count and contender
+// tallies. RunMany records every trial of a batch through one, and so does
+// the cluster path of internal/serve, so a batch tallies the same wherever
+// its trials ran. Record may run concurrently for distinct trials.
+type Tally struct {
+	outcomes   []int8
+	contenders []int32
+}
+
+// NewTally returns an empty tally of trials elections.
+func NewTally(trials int) *Tally {
+	if trials <= 0 {
+		return &Tally{}
 	}
-	for i, m := range metrics {
-		switch outcomes[i] {
+	return &Tally{outcomes: make([]int8, trials), contenders: make([]int32, trials)}
+}
+
+// Record folds trial i's outcome: its leader count class and its
+// contender count.
+func (t *Tally) Record(i int, out *Outcome) {
+	switch len(out.Leaders) {
+	case 0:
+		t.outcomes[i] = 0
+	case 1:
+		t.outcomes[i] = 1
+	default:
+		t.outcomes[i] = 2
+	}
+	t.contenders[i] = int32(out.Contenders)
+}
+
+// Fill adds the tallies to b's One, Zero, Multi and Contenders and, when
+// collect is set, stores the TrialOutcomes and TrialContenders vectors.
+func (t *Tally) Fill(b *BatchResult, collect bool) {
+	for i, o := range t.outcomes {
+		switch o {
 		case 0:
-			out.Zero++
+			b.Zero++
 		case 1:
-			out.One++
+			b.One++
 		default:
-			out.Multi++
+			b.Multi++
 		}
-		out.Messages += m.Messages
-		out.Bits += m.Bits
-		out.FaultDrops += m.FaultDrops
-		out.Delayed += m.Delayed
-		out.Rounds += int64(rounds[i])
-		out.Contenders += int(contenders[i])
+		b.Contenders += int(t.contenders[i])
 	}
-	if opts.CollectTrials {
-		out.TrialOutcomes = outcomes
-		out.TrialRounds = rounds
-		out.TrialContenders = contenders
-		out.TrialMessages = make([]int64, opts.Trials)
-		for i, m := range metrics {
-			out.TrialMessages[i] = m.Messages
-		}
+	if collect {
+		b.TrialOutcomes = t.outcomes
+		b.TrialContenders = t.contenders
 	}
-	return out, nil
 }

@@ -33,36 +33,18 @@ type adapter struct {
 func (a adapter) Name() string { return a.p.Name() }
 
 func (a adapter) Run(g *graph.Graph, opts Options) (*Outcome, error) {
-	out, _, err := runElection(a.p, g, opts, false)
+	out, _, err := runElection(a.p, g, opts)
 	return out, err
-}
-
-// engineOptions maps the election option set onto the engine's.
-func engineOptions(opts Options, countSends bool) engine.Options {
-	return engine.Options{
-		Seed:          opts.Seed,
-		Budget:        opts.Budget,
-		MaxRounds:     opts.MaxRounds,
-		Concurrent:    opts.Concurrent,
-		LeanMetrics:   opts.LeanMetrics,
-		DebugFrom:     opts.DebugFrom,
-		CountSends:    countSends,
-		Observer:      opts.Observer,
-		Fault:         opts.Fault,
-		FaultObserver: opts.FaultObserver,
-		Remote:        opts.Remote,
-		Tracer:        opts.Tracer,
-	}
 }
 
 // runElection is the one shared election path: Init, the generic engine
 // run, Finish.
-func runElection(p ElectionProtocol, g *graph.Graph, opts Options, countSends bool) (*Outcome, *engine.Result, error) {
+func runElection(p ElectionProtocol, g *graph.Graph, opts Options) (*Outcome, *engine.Result, error) {
 	inst, err := p.Init(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := engine.RunInstance(p, g, inst, engineOptions(opts, countSends))
+	res, err := engine.RunInstance(p, g, inst, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -79,7 +61,8 @@ func runElection(p ElectionProtocol, g *graph.Graph, opts Options, countSends bo
 // adapters over an ElectionProtocol still run, with a nil report.
 func RunWithReport(a Algorithm, g *graph.Graph, opts Options) (*Outcome, *engine.Result, error) {
 	if ad, ok := a.(adapter); ok {
-		return runElection(ad.p, g, opts, true)
+		opts.CountSends = true
+		return runElection(ad.p, g, opts)
 	}
 	out, err := a.Run(g, opts)
 	return out, nil, err

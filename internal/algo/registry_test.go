@@ -3,6 +3,7 @@ package algo_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wcle/internal/algo"
@@ -89,9 +90,9 @@ func TestGilbertBackendMatchesCore(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesCoreRunMany pins the generic batch runner against
-// core.RunMany for the default backend: same seeds, same aggregation,
-// field for field.
+// TestBatchMatchesCoreRunMany pins the batch runner against a plain loop
+// of core.Run for the default backend: trial i at sim.DeriveSeed(seed, i),
+// the same aggregation, field for field, per-trial vectors included.
 func TestBatchMatchesCoreRunMany(t *testing.T) {
 	g, err := graph.RandomRegular(48, 8, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -101,25 +102,113 @@ func TestBatchMatchesCoreRunMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const seed, trials = 42, 6
 	got, err := algo.RunMany(g, a, algo.BatchOptions{
-		Base: algo.Options{Seed: 42, LeanMetrics: true}, Trials: 6, Workers: 3, CollectTrials: true,
+		Base: algo.Options{Seed: seed, LeanMetrics: true}, Trials: trials, Workers: 3, CollectTrials: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.RunMany(g, core.DefaultConfig(), core.BatchOptions{
-		Base: core.RunOptions{Seed: 42, LeanMetrics: true}, Trials: 6, Workers: 3, CollectTrials: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	want := &algo.BatchResult{
+		Algorithm:       algo.GilbertRS18,
+		Trials:          trials,
+		TrialOutcomes:   make([]int8, trials),
+		TrialRounds:     make([]int32, trials),
+		TrialMessages:   make([]int64, trials),
+		TrialContenders: make([]int32, trials),
 	}
-	if got.One != want.One || got.Zero != want.Zero || got.Multi != want.Multi ||
-		got.Messages != want.Messages || got.Bits != want.Bits ||
-		got.Rounds != want.Rounds || got.Contenders != want.Contenders ||
-		!reflect.DeepEqual(got.TrialMessages, want.TrialMessages) ||
-		!reflect.DeepEqual(got.TrialRounds, want.TrialRounds) ||
-		!reflect.DeepEqual(got.TrialOutcomes, want.TrialOutcomes) {
+	for i := 0; i < trials; i++ {
+		res, err := core.Run(g, core.DefaultConfig(), core.RunOptions{Seed: sim.DeriveSeed(seed, uint64(i)), LeanMetrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch len(res.Leaders) {
+		case 0:
+			want.Zero++
+		case 1:
+			want.One++
+			want.TrialOutcomes[i] = 1
+		default:
+			want.Multi++
+			want.TrialOutcomes[i] = 2
+		}
+		want.Messages += res.Metrics.Messages
+		want.Bits += res.Metrics.Bits
+		want.FaultDrops += res.Metrics.FaultDrops
+		want.Delayed += res.Metrics.Delayed
+		want.Rounds += int64(res.Rounds)
+		want.Contenders += len(res.Contenders)
+		want.TrialRounds[i] = int32(res.Rounds)
+		want.TrialMessages[i] = res.Metrics.Messages
+		want.TrialContenders[i] = int32(len(res.Contenders))
+	}
+	// Wall-clock fields are the only nondeterministic ones.
+	got.Elapsed, got.ElectionsPerSec, got.Shards = 0, 0, nil
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch diverged:\n algo: %+v\n core: %+v", got, want)
+	}
+}
+
+// TestRunManyCollectTrials: the per-trial vectors are consistent with the
+// batch totals and independent of the worker count, and off by default.
+func TestRunManyCollectTrials(t *testing.T) {
+	g, err := graph.Clique(12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := algo.New(algo.GilbertRS18, algo.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) *algo.BatchResult {
+		res, err := algo.RunMany(g, a, algo.BatchOptions{
+			Base:          algo.Options{Seed: 7, LeanMetrics: true},
+			Trials:        6,
+			Workers:       workers,
+			CollectTrials: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(3)
+	if len(res.TrialOutcomes) != 6 || len(res.TrialRounds) != 6 ||
+		len(res.TrialMessages) != 6 || len(res.TrialContenders) != 6 {
+		t.Fatalf("per-trial vectors not collected: %+v", res)
+	}
+	var msgs, rounds int64
+	var one, zero, multi, cont int
+	for i := range res.TrialOutcomes {
+		switch res.TrialOutcomes[i] {
+		case 0:
+			zero++
+		case 1:
+			one++
+		default:
+			multi++
+		}
+		msgs += res.TrialMessages[i]
+		rounds += int64(res.TrialRounds[i])
+		cont += int(res.TrialContenders[i])
+	}
+	if one != res.One || zero != res.Zero || multi != res.Multi {
+		t.Fatalf("outcome vector disagrees with totals: %+v", res)
+	}
+	if msgs != res.Messages || rounds != res.Rounds || cont != res.Contenders {
+		t.Fatalf("per-trial sums disagree with totals: %+v", res)
+	}
+	other := run(1)
+	if !reflect.DeepEqual(res.TrialOutcomes, other.TrialOutcomes) ||
+		!reflect.DeepEqual(res.TrialRounds, other.TrialRounds) ||
+		!reflect.DeepEqual(res.TrialMessages, other.TrialMessages) ||
+		!reflect.DeepEqual(res.TrialContenders, other.TrialContenders) {
+		t.Fatal("per-trial vectors differ across worker counts")
+	}
+	plain, err := algo.RunMany(g, a, algo.BatchOptions{Base: algo.Options{Seed: 7, LeanMetrics: true}, Trials: 2})
+	if err != nil || plain.TrialOutcomes != nil || plain.TrialRounds != nil ||
+		plain.TrialMessages != nil || plain.TrialContenders != nil {
+		t.Fatalf("per-trial vectors should be nil without CollectTrials (%v)", err)
 	}
 }
 
@@ -153,8 +242,8 @@ func TestBatchWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsSharedFault mirrors core.RunMany's guard: a stateful
-// fault plane shared across shards is a determinism bug.
+// TestBatchRejectsSharedFault: a stateful fault plane shared across shards
+// is a determinism bug, so a batch must refuse it and point at NewFault.
 func TestBatchRejectsSharedFault(t *testing.T) {
 	g, err := graph.Clique(8, nil)
 	if err != nil {
@@ -166,15 +255,20 @@ func TestBatchRejectsSharedFault(t *testing.T) {
 	}
 	_, err = algo.RunMany(g, a, algo.BatchOptions{
 		Base: algo.Options{Seed: 1, Fault: &sim.Drop{P: 0.1}}, Trials: 4})
-	if err == nil {
-		t.Fatal("shared Base.Fault must be rejected")
+	if err == nil || !strings.Contains(err.Error(), "NewFault") {
+		t.Fatalf("shared Base.Fault not rejected: %v", err)
 	}
-	if _, err := algo.RunMany(g, a, algo.BatchOptions{
+	// The same plane through NewFault (fresh instance per trial) is fine.
+	res, err := algo.RunMany(g, a, algo.BatchOptions{
 		Base:     algo.Options{Seed: 1},
 		Trials:   4,
 		NewFault: func(int) sim.FaultPlane { return &sim.Drop{P: 0.1} },
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Trials != 4 || res.One+res.Zero+res.Multi != 4 {
+		t.Fatalf("batch outcome inconsistent: %+v", res)
 	}
 }
 

@@ -9,8 +9,8 @@
 // that travel in message payloads, never sender indices read off the wire
 // (Envelope.From stays -1 unless sim.Config.DebugFrom is set, and the
 // regression tests here pin that toggling the debug flag cannot change a
-// run). The package exposes two entry points: the historical FloodMax
-// convenience wrapper, and the generalized Run that threads the full
-// delivery-plane option set (faults, budgets, observers) so the algorithm
-// can serve as a first-class backend in internal/algo.
+// run). FloodMax runs one election through internal/engine; Build and
+// Collect are the halves internal/algo wraps to serve it as a first-class
+// backend under the full delivery-plane option set (faults, budgets,
+// observers).
 package baseline

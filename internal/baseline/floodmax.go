@@ -5,7 +5,6 @@ import (
 
 	"wcle/internal/engine"
 	"wcle/internal/graph"
-	"wcle/internal/obs"
 	"wcle/internal/protocol"
 	"wcle/internal/sim"
 )
@@ -105,37 +104,14 @@ type FloodMaxResult struct {
 	Metrics sim.Metrics
 }
 
-// Config parameterizes a generalized FloodMax run. The zero value plus a
-// seed is the classical setting: horizon n, perfect delivery.
+// Config holds the build-time knobs of a FloodMax run; the delivery-plane
+// knobs of a run are engine.Options.
 type Config struct {
-	// Seed drives all randomness (id draws) deterministically.
-	Seed int64
 	// Horizon is the number of rounds before nodes decide; 0 means n
 	// (always >= diameter + 1).
 	Horizon int
-	// Budget, when positive, drops sends beyond the budget (sim semantics).
-	Budget int64
 	// MaxRounds overrides the round cap (0 = Horizon + 8).
 	MaxRounds int
-	// Concurrent selects the goroutine-based engine.
-	Concurrent bool
-	// LeanMetrics skips per-kind message accounting on the send hot path.
-	LeanMetrics bool
-	// DebugFrom stamps sender indices on envelopes (debugging only; the
-	// regression tests assert the run is unchanged by it).
-	DebugFrom bool
-	// Observer taps every accepted send.
-	Observer sim.Observer
-	// Fault, when non-nil, is the run's delivery-plane adversary.
-	Fault sim.FaultPlane
-	// FaultObserver receives every fault event of the run.
-	FaultObserver sim.FaultObserver
-	// Remote, when non-nil, hosts this run's shard of a distributed
-	// election (sim.Config.Remote; see internal/cluster).
-	Remote sim.RemotePlane
-	// Tracer, when non-nil, records the run's spans and instants
-	// (sim.Config.Tracer); strictly observational.
-	Tracer *obs.Tracer
 }
 
 // Instance is one run's worth of FloodMax node machines. It implements
@@ -146,9 +122,7 @@ type Instance struct {
 	lim     engine.Limits
 }
 
-// Build constructs the per-node machines of one FloodMax run on g. Only
-// cfg.Horizon and cfg.MaxRounds matter at build time; the delivery-plane
-// fields of cfg belong to the runner.
+// Build constructs the per-node machines of one FloodMax run on g.
 func Build(g *graph.Graph, cfg Config) (*Instance, error) {
 	horizon := cfg.Horizon
 	if horizon <= 0 {
@@ -222,39 +196,32 @@ func (i *Instance) Collect(metrics sim.Metrics, sharded bool) *FloodMaxResult {
 	return res
 }
 
-// Run executes FloodMax on g under the full delivery-plane option set.
-func Run(g *graph.Graph, cfg Config) (*FloodMaxResult, error) {
+// FloodMax runs the baseline on g through the engine. horizon is the
+// number of rounds before nodes decide; 0 means n (always >= diameter + 1).
+func FloodMax(g *graph.Graph, seed int64, horizon int) (*FloodMaxResult, error) {
+	return run(g, Config{Horizon: horizon}, engine.Options{Seed: seed})
+}
+
+// run executes one FloodMax run on g under the engine's delivery-plane
+// options.
+func run(g *graph.Graph, cfg Config, opts engine.Options) (*FloodMaxResult, error) {
 	inst, err := Build(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]sim.Process, len(inst.nodes))
-	for v, nd := range inst.nodes {
-		procs[v] = nd
-	}
-	metrics, err := sim.Run(sim.Config{
-		Graph:          g,
-		Seed:           cfg.Seed,
-		MaxMessageBits: inst.lim.MaxMessageBits,
-		MaxRounds:      inst.lim.MaxRounds,
-		MessageBudget:  cfg.Budget,
-		Concurrent:     cfg.Concurrent,
-		LeanMetrics:    cfg.LeanMetrics,
-		DebugFrom:      cfg.DebugFrom,
-		Observer:       cfg.Observer,
-		Fault:          cfg.Fault,
-		FaultObserver:  cfg.FaultObserver,
-		Remote:         cfg.Remote,
-		Tracer:         cfg.Tracer,
-	}, procs)
+	res, err := engine.RunInstance(flood{cfg}, g, inst, opts)
 	if err != nil {
-		return nil, fmt.Errorf("baseline: floodmax failed: %w", err)
+		return nil, err
 	}
-	return inst.Collect(metrics, cfg.Remote != nil), nil
+	return inst.Collect(res.Metrics, opts.Remote != nil), nil
 }
 
-// FloodMax runs the baseline on g. horizon is the number of rounds before
-// nodes decide; 0 means n (always >= diameter + 1).
-func FloodMax(g *graph.Graph, seed int64, horizon int) (*FloodMaxResult, error) {
-	return Run(g, Config{Seed: seed, Horizon: horizon})
-}
+// flood presents one Config to engine.RunInstance, which names the run
+// after it; internal/algo registers the same machines as its floodmax
+// backend.
+type flood struct{ cfg Config }
+
+func (flood) Name() string    { return "floodmax" }
+func (flood) Slots() []string { return []string{"leader", "max_seen"} }
+
+func (p flood) Init(g *graph.Graph) (engine.Instance, error) { return Build(g, p.cfg) }

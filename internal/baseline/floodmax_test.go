@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wcle/internal/engine"
 	"wcle/internal/graph"
 	"wcle/internal/sim"
 )
@@ -84,11 +85,11 @@ func TestFloodMaxAnonymityRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		anon, err := Run(g, Config{Seed: seed})
+		anon, err := run(g, Config{}, engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		debug, err := Run(g, Config{Seed: seed, DebugFrom: true})
+		debug, err := run(g, Config{}, engine.Options{Seed: seed, DebugFrom: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,15 +101,14 @@ func TestFloodMaxAnonymityRegression(t *testing.T) {
 	}
 }
 
-// TestFloodMaxUnderDrops exercises the generalized entry point with a lossy
-// delivery plane: losing flood improvements can break agreement, but never
+// TestFloodMaxUnderDrops runs the engine path with a lossy delivery plane: losing flood improvements can break agreement, but never
 // errors and never loses the message accounting.
 func TestFloodMaxUnderDrops(t *testing.T) {
 	g, err := graph.Clique(16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, Config{Seed: 5, Fault: &sim.Drop{P: 0.2}})
+	res, err := run(g, Config{}, engine.Options{Seed: 5, Fault: &sim.Drop{P: 0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}

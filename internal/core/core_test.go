@@ -182,25 +182,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestConcurrentEngineEquivalence(t *testing.T) {
-	g := expander(t, 48, 4, 22)
-	seq, err := Run(g, DefaultConfig(), RunOptions{Seed: 44})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(g, DefaultConfig(), RunOptions{Seed: 44, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Metrics.Messages != par.Metrics.Messages || seq.Rounds != par.Rounds {
-		t.Fatalf("engines diverge: %d/%d vs %d/%d",
-			seq.Metrics.Messages, seq.Rounds, par.Metrics.Messages, par.Rounds)
-	}
-	if len(seq.Leaders) != len(par.Leaders) || (len(seq.Leaders) == 1 && seq.Leaders[0] != par.Leaders[0]) {
-		t.Fatalf("leaders diverge: %v vs %v", seq.Leaders, par.Leaders)
-	}
-}
-
 func TestKnownTmixBaseline(t *testing.T) {
 	// The [25]-style baseline: one phase of length c3 * tmix, unconditional
 	// stop. On a clique tmix is tiny.

@@ -9,14 +9,13 @@ import (
 )
 
 // BatchOptions parameterizes RunMany: many independent runs of one
-// protocol on one graph, sharded across a worker pool. It mirrors
-// algo.BatchOptions — including the seed-derivation contract (trial i runs
-// at sim.DeriveSeed(Base.Seed, i)) — so switching a batch between
-// protocols never changes which seeds its trials see.
+// protocol on one graph, sharded across a worker pool (one run per shard
+// slot; see sim.MultiRunner). Trial i runs at sim.DeriveSeed(Base.Seed, i)
+// whatever the protocol and the worker count, so switching a batch between
+// protocols never changes which seeds its trials see. algo.BatchOptions
+// aliases it.
 type BatchOptions struct {
 	// Base is the per-run option template; Base.Seed is the master seed.
-	// Base.Concurrent is ignored: batch runs always use the sequential
-	// engine (one goroutine per shard; see sim.MultiRunner).
 	Base Options
 	// Trials is the number of runs.
 	Trials int
@@ -60,7 +59,13 @@ type BatchResult struct {
 // RunMany executes opts.Trials independent runs of p on g across a sharded
 // worker pool. Everything except the wall-clock fields of the result is
 // deterministic in (p, g, opts.Base.Seed, opts.Trials).
-func RunMany(p Protocol, g *graph.Graph, opts BatchOptions) (*BatchResult, error) {
+//
+// After trial i completes, fold (when non-nil) receives i, the options it
+// ran under, its instance and its result, so a caller can read
+// protocol-native state (internal/algo folds election outcomes this way).
+// fold runs on the trial's shard goroutine, so it must only write state
+// indexed by trial; an error aborts the batch.
+func RunMany(p Protocol, g *graph.Graph, opts BatchOptions, fold func(trial int, o Options, inst Instance, res *Result) error) (*BatchResult, error) {
 	if opts.Trials <= 0 {
 		return &BatchResult{Protocol: p.Name()}, nil
 	}
@@ -75,13 +80,21 @@ func RunMany(p Protocol, g *graph.Graph, opts BatchOptions) (*BatchResult, error
 	metrics, shards, err := mr.RunBatch(opts.Trials, func(i int) (sim.Metrics, error) {
 		o := opts.Base
 		o.Seed = sim.DeriveSeed(opts.Base.Seed, uint64(i))
-		o.Concurrent = false
 		if opts.NewFault != nil {
 			o.Fault = opts.NewFault(i)
 		}
-		res, err := Run(p, g, o)
+		inst, err := p.Init(g)
 		if err != nil {
 			return sim.Metrics{}, err
+		}
+		res, err := RunInstance(p, g, inst, o)
+		if err != nil {
+			return sim.Metrics{}, err
+		}
+		if fold != nil {
+			if err := fold(i, o, inst, res); err != nil {
+				return sim.Metrics{}, err
+			}
 		}
 		rounds[i] = int32(res.Rounds)
 		return res.Metrics, nil

@@ -24,7 +24,7 @@ package engine
 // value.
 //
 // The wrapper is itself a Protocol, so the defense runs on every delivery
-// plane — in-process, concurrent, and the sharded cluster — and claims are
+// plane — in-process, batched, and the sharded cluster — and claims are
 // ordinary wire-registered messages (id 14), which is what keeps defended
 // cluster runs byte-identical to defended sim runs.
 

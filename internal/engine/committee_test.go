@@ -119,22 +119,20 @@ func TestCommitteeDefendsAgainstByzantine(t *testing.T) {
 }
 
 // TestCommitteeDeterministicAcrossEngines: a defended Byzantine run is
-// still one deterministic function of the seed, identical under the
-// sequential and the concurrent engine — the contract every plane in this
-// repo is held to.
+// still one deterministic function of the seed, identical on replay — the
+// contract every plane in this repo is held to.
 func TestCommitteeDeterministicAcrossEngines(t *testing.T) {
 	g, err := graph.Torus2D(4, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(concurrent bool) *engine.Result {
+	run := func() *engine.Result {
 		t.Helper()
 		res, err := engine.Run(
 			defended(t, engine.PushPull, engine.Config{Source: 0, Rumor: 5, Horizon: 400}),
 			g,
 			engine.Options{
 				Seed:       11,
-				Concurrent: concurrent,
 				CountSends: true,
 				Fault:      &sim.Byzantine{Frac: 0.2},
 			})
@@ -143,12 +141,9 @@ func TestCommitteeDeterministicAcrossEngines(t *testing.T) {
 		}
 		return res
 	}
-	seq, rerun, conc := run(false), run(false), run(true)
-	if !reflect.DeepEqual(seq, rerun) {
-		t.Fatalf("defended byzantine run not replay-deterministic:\n%+v\n%+v", seq, rerun)
-	}
-	if !reflect.DeepEqual(seq, conc) {
-		t.Fatalf("sequential and concurrent engines diverge under the defense:\n%+v\n%+v", seq, conc)
+	first, rerun := run(), run()
+	if !reflect.DeepEqual(first, rerun) {
+		t.Fatalf("defended byzantine run not replay-deterministic:\n%+v\n%+v", first, rerun)
 	}
 }
 

@@ -68,10 +68,11 @@ type Protocol interface {
 	Init(g *graph.Graph) (Instance, error)
 }
 
-// Options are the protocol-independent knobs of one run. They are the
-// engine-level superset of algo.Options: every layer (sim, cluster,
-// algotest, experiments) maps onto the same sim.Config the same way, so a
-// fault plane or a budget means the same thing whichever protocol runs.
+// Options are the protocol-independent knobs of one run, and the only
+// per-run option type: core.RunOptions and algo.Options alias it, and
+// RunInstance is the one place that maps it onto a sim.Config, so a fault
+// plane or a budget means the same thing whichever protocol and whichever
+// entry point runs.
 type Options struct {
 	// Seed drives all randomness of the run deterministically.
 	Seed int64
@@ -80,8 +81,6 @@ type Options struct {
 	Budget int64
 	// MaxRounds overrides the instance's default round cap (0 = default).
 	MaxRounds int
-	// Concurrent selects the goroutine-per-awake-node engine.
-	Concurrent bool
 	// LeanMetrics skips per-kind message accounting on the send hot path.
 	LeanMetrics bool
 	// DebugFrom stamps sender indices on delivered envelopes (debugging
@@ -204,7 +203,6 @@ func RunInstance(p Protocol, g *graph.Graph, inst Instance, opts Options) (*Resu
 		MaxRounds:      maxRounds,
 		MaxMessageBits: lim.MaxMessageBits,
 		MessageBudget:  opts.Budget,
-		Concurrent:     opts.Concurrent,
 		LeanMetrics:    opts.LeanMetrics,
 		DebugFrom:      opts.DebugFrom,
 		Observer:       observer,

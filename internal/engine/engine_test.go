@@ -1,10 +1,14 @@
 package engine_test
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"wcle/internal/engine"
 	"wcle/internal/graph"
+	"wcle/internal/sim"
 )
 
 func mustRun(t *testing.T, name string, cfg engine.Config, g *graph.Graph, seed int64) *engine.Result {
@@ -112,5 +116,46 @@ func TestPushPullSourceBookkeeping(t *testing.T) {
 	res := mustRun(t, engine.PushPull, engine.Config{Source: 2, Rumor: 9, Horizon: 40}, g, 5)
 	if res.Outputs[2][0] != 1 || res.Outputs[2][1] != 0 {
 		t.Fatalf("source row = %v, want [1 0]", res.Outputs[2])
+	}
+}
+
+// TestRunManyFoldSeesEveryTrial: the RunMany fold runs once per trial, under the
+// trial's derived seed, on the instance and result the batch totals count.
+func TestRunManyFoldSeesEveryTrial(t *testing.T) {
+	g, err := graph.Clique(12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := engine.New(engine.PushPull, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, trials = 5, 6
+	seeds := make([]int64, trials)
+	msgs := make([]int64, trials)
+	b, err := engine.RunMany(p, g, engine.BatchOptions{
+		Base: engine.Options{Seed: seed}, Trials: trials, Workers: 3, CollectTrials: true,
+	}, func(i int, o engine.Options, inst engine.Instance, res *engine.Result) error {
+		if inst == nil {
+			return fmt.Errorf("trial %d: nil instance", i)
+		}
+		seeds[i], msgs[i] = o.Seed, res.Metrics.Messages
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seeds {
+		if seeds[i] != sim.DeriveSeed(seed, uint64(i)) {
+			t.Fatalf("trial %d ran at seed %d, want %d", i, seeds[i], sim.DeriveSeed(seed, uint64(i)))
+		}
+	}
+	if !reflect.DeepEqual(msgs, b.TrialMessages) {
+		t.Fatalf("fold saw messages %v, batch recorded %v", msgs, b.TrialMessages)
+	}
+	boom := errors.New("boom")
+	if _, err := engine.RunMany(p, g, engine.BatchOptions{Base: engine.Options{Seed: seed}, Trials: 2},
+		func(int, engine.Options, engine.Instance, *engine.Result) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("fold error not surfaced: %v", err)
 	}
 }

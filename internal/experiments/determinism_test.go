@@ -7,8 +7,8 @@ import (
 )
 
 // fixtureIDs are the experiments the determinism fixture spans: everything
-// that predates the delivery-plane refactor (E15/E16 are excluded — E15 is
-// new in the same PR and E16 reports wall-clock).
+// that predates the delivery-plane refactor (E15 is excluded — it is new in
+// the same PR).
 var fixtureIDs = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7",
 	"E8", "E9", "E10", "E11", "E12", "E13", "E14"}
 

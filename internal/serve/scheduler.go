@@ -356,37 +356,15 @@ func (s *Scheduler) runPoints(req SubmitRequest) (*JobResult, error) {
 		baseSeed := sim.SeedForKey(req.Seed, fmt.Sprintf("electd|%d|%s", i, p.Key()))
 		algName := algo.Resolve(p.Algorithm)
 		pt0 := time.Now()
+		var batch *algo.BatchResult
+		var err error
 		if s.cluster != nil {
-			pr, err := s.runPointCluster(i, p, algName, baseSeed, reg)
-			if err != nil {
-				return nil, err
-			}
-			s.met.ObserveAlgoLatency(algName, time.Since(pt0))
-			s.attachProfile(&pr, p.Graph)
-			out.Points = append(out.Points, pr)
-			continue
+			batch, err = s.runPointCluster(i, p, algName, baseSeed, reg)
+		} else {
+			batch, err = s.runPointLocal(i, p, algName, baseSeed, reg)
 		}
-		cfg := core.DefaultConfig()
-		cfg.Resend = p.Resend
-		cfg.AssumedN = p.AssumedN
-		backend, err := algo.New(algName, algo.Config{Core: cfg})
 		if err != nil {
-			// Validated at submission; the registry never unregisters.
-			return nil, fmt.Errorf("serve: point %d: %w", i, err)
-		}
-		opts := algo.BatchOptions{
-			Base:          algo.Options{Seed: baseSeed, LeanMetrics: true, Tracer: s.tracer},
-			Trials:        p.Trials,
-			Workers:       s.electionWorkers,
-			CollectTrials: true,
-		}
-		if !p.Fault.IsZero() {
-			fault := p.Fault
-			opts.NewFault = func(int) sim.FaultPlane { return fault.Plane() }
-		}
-		batch, err := algo.RunMany(reg.Graph, backend, opts)
-		if err != nil {
-			return nil, fmt.Errorf("serve: point %d (%s, %s): %w", i, p.Graph, algName, err)
+			return nil, err
 		}
 		s.met.ElectionsServed.Add(int64(p.Trials))
 		s.met.AddAlgoElections(algName, int64(p.Trials))
@@ -423,51 +401,61 @@ func (s *Scheduler) attachProfile(pr *PointResult, graph string) {
 	}
 }
 
+// runPointLocal executes one point's trials in process as one algo.RunMany
+// batch on the scheduler's MultiRunner pool.
+func (s *Scheduler) runPointLocal(i int, p PointSpec, algName string, baseSeed int64, reg *Registered) (*algo.BatchResult, error) {
+	cfg := core.DefaultConfig()
+	cfg.Resend = p.Resend
+	cfg.AssumedN = p.AssumedN
+	backend, err := algo.New(algName, algo.Config{Core: cfg})
+	if err != nil {
+		// Validated at submission; the registry never unregisters.
+		return nil, fmt.Errorf("serve: point %d: %w", i, err)
+	}
+	opts := algo.BatchOptions{
+		Base:          algo.Options{Seed: baseSeed, LeanMetrics: true, Tracer: s.tracer},
+		Trials:        p.Trials,
+		Workers:       s.electionWorkers,
+		CollectTrials: true,
+	}
+	if !p.Fault.IsZero() {
+		fault := p.Fault
+		opts.NewFault = func(int) sim.FaultPlane { return fault.Plane() }
+	}
+	batch, err := algo.RunMany(reg.Graph, backend, opts)
+	if err != nil {
+		return nil, fmt.Errorf("serve: point %d (%s, %s): %w", i, p.Graph, algName, err)
+	}
+	return batch, nil
+}
+
 // runPointCluster executes one point's trials on the wire-level cluster,
 // one election per trial, with the exact per-trial seeds the in-process
-// path derives — so a job's result is identical wherever it ran.
-func (s *Scheduler) runPointCluster(i int, p PointSpec, algName string, baseSeed int64, reg *Registered) (PointResult, error) {
-	pr := PointResult{
-		Graph:     p.Graph,
-		Algorithm: algName,
-		Trials:    p.Trials,
-		Seed:      baseSeed,
+// path derives and the same algo.Tally fold — so a job's result is
+// identical wherever it ran.
+func (s *Scheduler) runPointCluster(i int, p PointSpec, algName string, baseSeed int64, reg *Registered) (*algo.BatchResult, error) {
+	tally := algo.NewTally(p.Trials)
+	b := &algo.BatchResult{
+		Trials:        p.Trials,
+		TrialRounds:   make([]int32, p.Trials),
+		TrialMessages: make([]int64, p.Trials),
 	}
-	rounds := make([]int32, p.Trials)
-	msgs := make([]int64, p.Trials)
-	contenders := make([]int32, p.Trials)
 	for t := 0; t < p.Trials; t++ {
 		out, cw, err := s.cluster.RunElection(reg.Spec, algName, sim.DeriveSeed(baseSeed, uint64(t)), p.Resend, p.AssumedN, p.Fault)
 		if err != nil {
-			return pr, fmt.Errorf("serve: point %d trial %d on the cluster: %w", i, t, err)
+			return nil, fmt.Errorf("serve: point %d trial %d on the cluster: %w", i, t, err)
 		}
 		s.met.AddClusterWire(cw)
-		switch len(out.Leaders) {
-		case 0:
-			pr.Zero++
-		case 1:
-			pr.One++
-		default:
-			pr.Multi++
-		}
-		pr.Messages += out.Metrics.Messages
-		pr.Bits += out.Metrics.Bits
-		pr.Rounds += int64(out.Rounds)
-		pr.FaultDrops += out.Metrics.FaultDrops
-		pr.Contenders += out.Contenders
-		rounds[t] = int32(out.Rounds)
-		msgs[t] = out.Metrics.Messages
-		contenders[t] = int32(out.Contenders)
+		tally.Record(t, out)
+		b.Messages += out.Metrics.Messages
+		b.Bits += out.Metrics.Bits
+		b.Rounds += int64(out.Rounds)
+		b.FaultDrops += out.Metrics.FaultDrops
+		b.TrialRounds[t] = int32(out.Rounds)
+		b.TrialMessages[t] = out.Metrics.Messages
 	}
-	pr.UniqueLeader = pr.One == pr.Trials
-	pr.Summaries = trialSummaries(&algo.BatchResult{
-		TrialRounds:     rounds,
-		TrialMessages:   msgs,
-		TrialContenders: contenders,
-	})
-	s.met.ElectionsServed.Add(int64(p.Trials))
-	s.met.AddAlgoElections(algName, int64(p.Trials))
-	return pr, nil
+	tally.Fill(b, true)
+	return b, nil
 }
 
 // trialSummaries aggregates the per-trial vectors of a collected batch.

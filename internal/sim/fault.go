@@ -6,7 +6,7 @@ import "wcle/internal/graph"
 // that decides the fate of every accepted send and the liveness of every
 // node. All implementations are seed-deterministic: the runner resets the
 // plane with a seed derived from the run seed and consults it in the same
-// deterministic order under both execution modes, so a faulty run replays
+// deterministic order, so a faulty run replays
 // exactly like a perfect one does. The built-in planes key their per-send
 // randomness by sender (see ShardAware), which additionally makes a
 // sharded cluster run byte-identical to the in-process one under the same

@@ -26,9 +26,8 @@ var faultCases = []struct {
 }
 
 // TestEnginesAgreeUnderFaultPlanes is the equivalence contract of the
-// refactored delivery plane: for every fault plane, the sequential engine,
-// the goroutine-per-node engine, and a MultiRunner shard must produce
-// identical metrics and identical process trajectories.
+// delivery plane: for every fault plane, a direct run and a MultiRunner
+// shard must produce identical metrics and identical process trajectories.
 func TestEnginesAgreeUnderFaultPlanes(t *testing.T) {
 	g, err := graph.Torus2D(4, 4, nil)
 	if err != nil {
@@ -43,12 +42,8 @@ func TestEnginesAgreeUnderFaultPlanes(t *testing.T) {
 	}
 	for _, fc := range faultCases {
 		t.Run(fc.name, func(t *testing.T) {
-			seqP, concP, multiP := mk(), mk(), mk()
+			seqP, multiP := mk(), mk()
 			seq, err := Run(Config{Graph: g, Seed: 9, Fault: fc.mk()}, seqP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conc, err := Run(Config{Graph: g, Seed: 9, Fault: fc.mk(), Concurrent: true}, concP)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,17 +54,14 @@ func TestEnginesAgreeUnderFaultPlanes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			multi := batch[0]
-			for name, m := range map[string]Metrics{"concurrent": conc, "multirunner": multi} {
-				if m.Messages != seq.Messages || m.Deliveries != seq.Deliveries ||
-					m.FaultDrops != seq.FaultDrops || m.Delayed != seq.Delayed ||
-					m.FinalRound != seq.FinalRound || m.BusyRounds != seq.BusyRounds {
-					t.Fatalf("%s engine diverges under %s:\nseq   %+v\nother %+v", name, fc.name, seq, m)
-				}
+			m := batch[0]
+			if m.Messages != seq.Messages || m.Deliveries != seq.Deliveries ||
+				m.FaultDrops != seq.FaultDrops || m.Delayed != seq.Delayed ||
+				m.FinalRound != seq.FinalRound || m.BusyRounds != seq.BusyRounds {
+				t.Fatalf("multirunner diverges under %s:\nseq   %+v\nother %+v", fc.name, seq, m)
 			}
-			if fmt.Sprint(trailOf(seqP)) != fmt.Sprint(trailOf(concP)) ||
-				fmt.Sprint(trailOf(seqP)) != fmt.Sprint(trailOf(multiP)) {
-				t.Fatalf("engines produced different trails under %s", fc.name)
+			if fmt.Sprint(trailOf(seqP)) != fmt.Sprint(trailOf(multiP)) {
+				t.Fatalf("multirunner produced a different trail under %s", fc.name)
 			}
 		})
 	}

@@ -7,10 +7,9 @@ import (
 )
 
 // This file is the sharded bulk-execution layer: many *independent*
-// simulations spread across a small worker pool, each run on the
-// sequential engine. For bulk workloads (experiment trials, Monte Carlo
-// sweeps) this replaces the goroutine-per-awake-node mode, whose per-round
-// spawn-and-barrier overhead is pure cost when whole runs are independent.
+// simulations spread across a small worker pool, one whole run per shard
+// slot. Bulk workloads (experiment trials, Monte Carlo sweeps) get their
+// parallelism here, across runs, never inside one run.
 
 // ShardStats aggregates the runs one shard (worker) executed.
 type ShardStats struct {

@@ -16,18 +16,15 @@
 //     every send (Perfect, Drop, Delay) and the liveness of every node
 //     (Crash, CrashSample), all seed-deterministic.
 //
-// Two execution modes share identical semantics and are equivalence-tested
-// under every fault plane: a deterministic sequential loop and a
-// goroutine-per-awake-node barrier-synchronized mode. For bulk independent
-// runs, MultiRunner (multi.go) shards whole simulations across a worker
-// pool instead.
+// Each run steps its awake nodes in one deterministic sequential loop. For
+// bulk independent runs, MultiRunner (multi.go) shards whole simulations
+// across a worker pool.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"wcle/internal/graph"
 	"wcle/internal/obs"
@@ -86,9 +83,6 @@ type Config struct {
 	// (counted in Metrics.Dropped). This models the lower-bound experiments
 	// where an algorithm is only allowed a fixed message budget.
 	MessageBudget int64
-
-	// Concurrent selects the goroutine-per-awake-node execution mode.
-	Concurrent bool
 
 	// LeanMetrics drops the per-kind accounting from the send hot path:
 	// Metrics.ByKind stays empty and the transport does no map writes or
@@ -472,14 +466,10 @@ func (r *Runner) stepRound() error {
 
 	computeSp := r.cfg.Tracer.Start("sim", "compute", int64(r.round))
 	computeSp.Arg("awake", int64(len(awake)))
-	if r.cfg.Concurrent && len(awake) > 1 {
-		r.stepNodesConcurrent(awake)
-	} else {
-		for _, v := range awake {
-			r.stepNode(v)
-			if r.stepErr != nil {
-				break
-			}
+	for _, v := range awake {
+		r.stepNode(v)
+		if r.stepErr != nil {
+			break
 		}
 	}
 	computeSp.End()
@@ -490,8 +480,7 @@ func (r *Runner) stepRound() error {
 
 	// Move buffered sends into the transport and wakes into the scheduler
 	// deterministically in node order; the fault plane rules on each send
-	// here, so its random stream advances identically in both execution
-	// modes.
+	// here, so its random stream advances in a fixed order.
 	flushSp := r.cfg.Tracer.Start("sim", "flush", int64(r.round))
 	msgsBefore := r.metrics.Messages
 	for _, v := range awake {
@@ -537,48 +526,6 @@ func sortByPort(inbox []Envelope) {
 	for i := 1; i < len(inbox); i++ {
 		for j := i; j > 0 && inbox[j].Port < inbox[j-1].Port; j-- {
 			inbox[j], inbox[j-1] = inbox[j-1], inbox[j]
-		}
-	}
-}
-
-// stepNodesConcurrent runs the awake nodes' Steps in parallel. Nodes only
-// interact through buffered sends (applied after the barrier), so the
-// outcome is identical to the sequential order; metrics for deliveries are
-// accounted before the fan-out to keep counters race-free.
-func (r *Runner) stepNodesConcurrent(awake []int) {
-	type res struct {
-		node int
-		err  error
-	}
-	// Pre-sort inboxes and count deliveries serially (cheap) so Step
-	// goroutines never touch shared state.
-	inboxes := make([][]Envelope, len(awake))
-	for i, v := range awake {
-		if in := r.tr.inbox(v); len(in) > 0 {
-			sortByPort(in)
-			inboxes[i] = in
-			r.metrics.Deliveries += int64(len(in))
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]res, len(awake))
-	for i, v := range awake {
-		wg.Add(1)
-		go func(i, v int) {
-			defer wg.Done()
-			ctx := r.ctxs[v]
-			ctx.round = r.round
-			for p := range ctx.sentPort {
-				ctx.sentPort[p] = false
-			}
-			errs[i] = res{node: v, err: r.procs[v].Step(ctx, inboxes[i])}
-		}(i, v)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e.err != nil {
-			r.stepErr = fmt.Errorf("sim: node %d at round %d: %w", e.node, r.round, e.err)
-			return
 		}
 	}
 }

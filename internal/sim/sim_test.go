@@ -363,35 +363,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestConcurrentMatchesSequential(t *testing.T) {
-	g, err := graph.Torus2D(4, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() []Process {
-		procs := make([]Process, g.N())
-		for i := range procs {
-			procs[i] = &randomWalker{limit: 80}
-		}
-		return procs
-	}
-	seq, par := mk(), mk()
-	ms, err := Run(Config{Graph: g, Seed: 5}, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := Run(Config{Graph: g, Seed: 5, Concurrent: true}, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Messages != mp.Messages || ms.FinalRound != mp.FinalRound || ms.Deliveries != mp.Deliveries {
-		t.Fatalf("engines diverge: seq %+v vs par %+v", ms, mp)
-	}
-	if fmt.Sprint(trailOf(seq)) != fmt.Sprint(trailOf(par)) {
-		t.Fatal("engines produced different trails")
-	}
-}
-
 type recordingObserver struct {
 	sends int
 	kinds map[string]int

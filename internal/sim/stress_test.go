@@ -115,42 +115,28 @@ func TestStepErrorAborts(t *testing.T) {
 	}
 }
 
-func TestStepErrorAbortsConcurrent(t *testing.T) {
-	g, err := graph.Clique(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	procs := []Process{
-		processFunc(func(ctx *Context, inbox []Envelope) error { return nil }),
-		processFunc(func(ctx *Context, inbox []Envelope) error { return boom }),
-		nopProc{}, nopProc{},
-	}
-	_, err = Run(Config{Graph: g, Seed: 1, Concurrent: true}, procs)
-	if !errors.Is(err, boom) {
-		t.Fatalf("want wrapped boom, got %v", err)
-	}
-}
-
 // Property: for any seed, flood on a random regular graph informs everyone
-// with exactly 2m messages under both engines, and the engines agree.
+// with exactly 2m messages, and a MultiRunner shard replays the direct run.
 func TestEnginesAgreeProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		g, err := graph.RandomRegular(24, 4, NewRand(seed))
 		if err != nil {
 			return false
 		}
-		seq, err := Run(Config{Graph: g, Seed: seed}, floodProcs(g.N()))
+		direct, err := Run(Config{Graph: g, Seed: seed}, floodProcs(g.N()))
 		if err != nil {
 			return false
 		}
-		par, err := Run(Config{Graph: g, Seed: seed, Concurrent: true}, floodProcs(g.N()))
+		mr := &MultiRunner{Workers: 1}
+		batch, _, err := mr.RunBatch(1, func(int) (Metrics, error) {
+			return Run(Config{Graph: g, Seed: seed}, floodProcs(g.N()))
+		})
 		if err != nil {
 			return false
 		}
-		return seq.Messages == par.Messages &&
-			seq.FinalRound == par.FinalRound &&
-			seq.Messages == int64(2*g.M())
+		return batch[0].Messages == direct.Messages &&
+			batch[0].FinalRound == direct.FinalRound &&
+			direct.Messages == int64(2*g.M())
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

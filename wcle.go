@@ -83,10 +83,6 @@ type (
 	// equivocation, forgery, or bit corruption on the canonical wire
 	// encoding, seed-deterministic like every other plane.
 	Byzantine = sim.Byzantine
-	// BatchOptions parameterizes ElectMany.
-	BatchOptions = core.BatchOptions
-	// BatchResult aggregates an ElectMany batch.
-	BatchResult = core.BatchResult
 
 	// Algorithm is a pluggable election backend (see internal/algo): the
 	// registry ships gilbertrs18 (the paper), floodmax (the Omega(m)
@@ -152,16 +148,6 @@ type (
 // ComposeFaults chains fault planes (drops combine, delays add, crashes
 // union); nil and Perfect members are elided.
 func ComposeFaults(planes ...FaultPlane) FaultPlane { return sim.Compose(planes...) }
-
-// ElectMany runs many independent elections of cfg on g across a sharded
-// worker pool and aggregates the outcomes (see core.RunMany).
-//
-// Deprecated: use RunMany for the protocol-generic batch, or
-// ElectManyWith for other election backends. ElectMany remains as the
-// core-native batch and keeps its exact behavior.
-func ElectMany(g *Graph, cfg Config, opts BatchOptions) (*BatchResult, error) {
-	return core.RunMany(g, cfg, opts)
-}
 
 // BuildGraph instantiates a GraphSpec (the registry does this once per
 // registered name; this entry point is for ad-hoc use).
@@ -229,19 +215,8 @@ func Run(protocol string, g *Graph, cfg ProtocolConfig, opts AlgorithmOptions) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.RunInstance(p, g, inst, engine.Options{
-		Seed:          opts.Seed,
-		Budget:        opts.Budget,
-		MaxRounds:     opts.MaxRounds,
-		Concurrent:    opts.Concurrent,
-		LeanMetrics:   opts.LeanMetrics,
-		DebugFrom:     opts.DebugFrom,
-		CountSends:    true,
-		Observer:      opts.Observer,
-		Fault:         opts.Fault,
-		FaultObserver: opts.FaultObserver,
-		Tracer:        opts.Tracer,
-	})
+	opts.CountSends = true
+	res, err := engine.RunInstance(p, g, inst, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +232,8 @@ func Run(protocol string, g *Graph, cfg ProtocolConfig, opts AlgorithmOptions) (
 }
 
 // RunMany runs many independent trials of the named protocol on g across
-// a sharded worker pool, with the same seed-derivation contract as
-// ElectMany (trial i runs at DeriveSeed(Base.Seed, i)).
+// a sharded worker pool; trial i runs at DeriveSeed(Base.Seed, i), so a
+// batch's deterministic fields do not depend on the worker count.
 func RunMany(protocol string, g *Graph, cfg ProtocolConfig, opts ProtocolBatchOptions) (*ProtocolBatchResult, error) {
 	if protocol == "" {
 		protocol = algo.DefaultName
@@ -267,7 +242,7 @@ func RunMany(protocol string, g *Graph, cfg ProtocolConfig, opts ProtocolBatchOp
 	if err != nil {
 		return nil, err
 	}
-	return engine.RunMany(p, g, opts)
+	return engine.RunMany(p, g, opts, nil)
 }
 
 // Elect runs the paper's implicit leader-election algorithm on g — the
@@ -277,18 +252,7 @@ func RunMany(protocol string, g *Graph, cfg ProtocolConfig, opts ProtocolBatchOp
 // backend-native result without the engine report). Elect remains as a
 // thin wrapper and keeps its exact behavior.
 func Elect(g *Graph, cfg Config, opts Options) (*Result, error) {
-	out, err := ElectWith(algo.GilbertRS18, g, AlgorithmConfig{Core: cfg}, AlgorithmOptions{
-		Seed:          opts.Seed,
-		Budget:        opts.Budget,
-		MaxRounds:     opts.MaxRounds,
-		Concurrent:    opts.Concurrent,
-		LeanMetrics:   opts.LeanMetrics,
-		DebugFrom:     opts.DebugFrom,
-		Observer:      opts.Observer,
-		Fault:         opts.Fault,
-		FaultObserver: opts.FaultObserver,
-		Tracer:        opts.Tracer,
-	})
+	out, err := ElectWith(algo.GilbertRS18, g, AlgorithmConfig{Core: cfg}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +277,7 @@ func ElectWith(algorithm string, g *Graph, cfg AlgorithmConfig, opts AlgorithmOp
 
 // ElectManyWith runs many independent elections of the named backend on g
 // across a sharded worker pool, with the same seed-derivation contract as
-// ElectMany.
+// RunMany.
 //
 // Deprecated: use RunMany for the protocol-generic batch; ElectManyWith
 // remains for election-shaped aggregation (leader/success tallies).
@@ -458,8 +422,8 @@ func NewDumbbellCliques(half int, seed int64) (*DumbbellGraph, error) {
 	return graph.NewDumbbellCliques(half, rand.New(rand.NewSource(seed)))
 }
 
-// RunExperiment executes one of the reproduction experiments (E1..E18; see
-// DESIGN.md) on the parallel harness and returns its table. quick shrinks
+// RunExperiment executes one of the reproduction experiments (E1..E23
+// without the retired E16; see DESIGN.md) on the parallel harness and returns its table. quick shrinks
 // sizes for smoke runs.
 func RunExperiment(id string, seed int64, quick bool) (*Table, error) {
 	if _, ok := experiments.Get(id); !ok {

@@ -1,9 +1,12 @@
 package wcle_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"wcle"
+	"wcle/internal/sim"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -195,7 +198,7 @@ func TestPublicRunMany(t *testing.T) {
 
 func TestPublicExperiments(t *testing.T) {
 	ids := wcle.ExperimentIDs()
-	if len(ids) != 23 {
+	if len(ids) != 22 {
 		t.Fatalf("experiment ids = %v", ids)
 	}
 	tab, err := wcle.RunExperiment("E3", 1, true)
@@ -210,16 +213,17 @@ func TestPublicExperiments(t *testing.T) {
 	}
 }
 
-// ElectMany aggregates a deterministic batch: outcome counts are identical
-// whatever the worker count, and a fault plane threads through the facade.
-func TestElectManyDeterministicAcrossWorkers(t *testing.T) {
+// ElectManyWith aggregates a deterministic batch: outcome counts are
+// identical whatever the worker count, and a fault plane threads through
+// the facade.
+func TestElectManyWithDeterministicAcrossWorkers(t *testing.T) {
 	g, err := wcle.NewRandomRegular(32, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *wcle.BatchResult {
-		res, err := wcle.ElectMany(g, wcle.DefaultConfig(), wcle.BatchOptions{
-			Base:    wcle.Options{Seed: 11, LeanMetrics: true},
+	run := func(workers int) *wcle.AlgorithmBatchResult {
+		res, err := wcle.ElectManyWith(wcle.DefaultAlgorithm(), g, wcle.AlgorithmConfig{}, wcle.AlgorithmBatchOptions{
+			Base:    wcle.AlgorithmOptions{Seed: 11, LeanMetrics: true},
 			Trials:  4,
 			Workers: workers,
 			NewFault: func(int) wcle.FaultPlane {
@@ -299,5 +303,61 @@ func TestElectManyWithBackends(t *testing.T) {
 	}
 	if res.Algorithm != "floodmax" || res.One != 5 {
 		t.Fatalf("floodmax batch: %+v", res)
+	}
+}
+
+// spyRemote is a remote plane that hosts every node: a sharded run through
+// it is a one-shard cluster, so it must equal the plain run. It counts its
+// barrier calls to prove the plane was actually used.
+type spyRemote struct{ barriers int }
+
+func (s *spyRemote) Local(int) bool { return true }
+
+func (s *spyRemote) Send(round, due, to int, env sim.Envelope) error {
+	return fmt.Errorf("spy: unexpected cross-shard send to %d", to)
+}
+
+func (s *spyRemote) Barrier(round, localNext int, inject func(due, to int, env sim.Envelope) error) (int, error) {
+	s.barriers++
+	return localNext, nil
+}
+
+// TestFacadesThreadRemote: Options.Remote reaches the engine through both
+// Run and Elect, and a one-shard remote run equals the in-process one.
+func TestFacadesThreadRemote(t *testing.T) {
+	g, err := wcle.NewRandomRegular(32, 6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &spyRemote{}
+	want, err := wcle.Run("", g, wcle.ProtocolConfig{}, wcle.AlgorithmOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wcle.Run("", g, wcle.ProtocolConfig{}, wcle.AlgorithmOptions{Seed: 3, Remote: spy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spy.barriers == 0 {
+		t.Fatal("wcle.Run dropped Options.Remote: the plane saw no barrier")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("wcle.Run through a one-shard remote diverged:\n%+v\n%+v", got.Result, want.Result)
+	}
+
+	spy.barriers = 0
+	wantRes, err := wcle.Elect(g, wcle.DefaultConfig(), wcle.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRes, err := wcle.Elect(g, wcle.DefaultConfig(), wcle.Options{Seed: 3, Remote: spy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spy.barriers == 0 {
+		t.Fatal("wcle.Elect dropped Options.Remote: the plane saw no barrier")
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("wcle.Elect through a one-shard remote diverged:\n%+v\n%+v", gotRes, wantRes)
 	}
 }
